@@ -21,10 +21,11 @@
 //	-trace           with -run: print an ASCII space–time diagram
 //	-bins N          diagram width in time bins (default 100)
 //	-param NAME=V    override a program parameter (repeatable)
-//	-no-localize     disable §4.2 LOCALIZE partial replication
-//	-no-loopdist     disable §5 loop distribution
-//	-no-interproc    disable §6 interprocedural CPs
-//	-no-avail        disable §7 data availability analysis
+//	-no-loopdist     CP.LoopDist = false: select CPs without §5's
+//	                 grouping, and distribute no loops
+//	-no-interproc    CP.Interproc = false: call sites get replicated CPs
+//	                 instead of translated §6 entry CPs; entry CPs are
+//	                 still computed and reported
 //	-newprop MODE    translate (default) | owner | replicate  (§4.1)
 //	-backend B       execution substrate: mp (message-passing, default) |
 //	                 shm (shared-memory threads, barrier phases in place
@@ -33,7 +34,11 @@
 //	                 race-freedom theorem to the verifier's obligations
 //	-grain N         coarse-grain pipelining strip width (default 8)
 //	-emit R          print the generated SPMD node program for rank R
-//	-disable LIST    drop optional passes by name (comma-separated)
+//	-disable LIST    drop optional passes by name (comma-separated).
+//	                 -no-loopdist and -no-interproc are not spellings of
+//	                 -disable loopdist/interproc: dropping the pass keeps
+//	                 §5 grouping in CP selection, or skips the entry-CP
+//	                 computation, so the reports differ
 //	-explain         print the per-pass table: wall time, communication
 //	                 volume after each pass (with deltas), and decisions
 //	-incremental     compile through the per-procedure artifact store:
@@ -122,10 +127,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	engineName := fs.String("engine", "", "execution engine: compiled|interp|codegen (with -run)")
 	doTrace := fs.Bool("trace", false, "print a space-time diagram (with -run)")
 	bins := fs.Int("bins", 100, "space-time diagram bins")
-	noLocalize := fs.Bool("no-localize", false, "disable LOCALIZE (§4.2)")
-	noLoopdist := fs.Bool("no-loopdist", false, "disable loop distribution (§5)")
-	noInterproc := fs.Bool("no-interproc", false, "disable interprocedural CPs (§6)")
-	noAvail := fs.Bool("no-avail", false, "disable data availability (§7)")
+	noLoopdist := fs.Bool("no-loopdist", false, "select CPs without loop distribution (§5)")
+	noInterproc := fs.Bool("no-interproc", false, "select call-site CPs without interprocedural translation (§6)")
 	newprop := fs.String("newprop", "translate", "NEW propagation mode: translate|owner|replicate")
 	backend := fs.String("backend", "", "execution substrate: mp|shm|hybrid")
 	grain := fs.Int("grain", 8, "pipeline strip width")
@@ -155,10 +158,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := spmd.DefaultOptions()
-	opt.CP.Localize = !*noLocalize
 	opt.CP.LoopDist = !*noLoopdist
 	opt.CP.Interproc = !*noInterproc
-	opt.Comm.Availability = !*noAvail
 	opt.PipelineGrain = *grain
 	opt.Instrument = *explain
 	if opt.Backend, err = passes.ParseBackend(*backend); err != nil {

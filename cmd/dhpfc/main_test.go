@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dhpf/internal/passes"
+	"dhpf/internal/spmd"
 )
 
 // TestGoldenLhsy drives the CLI end to end on testdata/lhsy.hpf with
@@ -143,18 +144,41 @@ func TestExplainTable(t *testing.T) {
 	}
 }
 
-// TestDisableFlag checks -disable maps to pass-level ablation and
-// matches the legacy boolean flag.
+// TestDisableFlag checks that -disable reaches the pipeline: the
+// -disable availability report differs from the default one and equals
+// a library compile with the pass ablated.  It also pins why
+// -no-loopdist survives beside -disable: it turns off §5 grouping inside
+// CP selection, which dropping the loopdist pass leaves on, so the two
+// reports differ.
 func TestDisableFlag(t *testing.T) {
-	var a, b, errb bytes.Buffer
-	if code := run([]string{"-no-avail", "../../testdata/lhsy.hpf"}, &a, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
+	const path = "../../testdata/lhsy.hpf"
+	report := func(args ...string) string {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := run(append(args, path), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+		}
+		return out.String()
 	}
-	if code := run([]string{"-disable", "availability", "../../testdata/lhsy.hpf"}, &b, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
+
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.String() != b.String() {
-		t.Error("-disable availability and -no-avail reports differ")
+	prog, err := spmd.CompileSource(string(src), nil, spmd.DefaultOptions().WithDisabled(passes.PassAvailability))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noAvail := report("-disable", "availability")
+	if noAvail == report() {
+		t.Error("-disable availability report equals the default one")
+	}
+	if noAvail != prog.Report() {
+		t.Errorf("-disable availability report differs from the library compile:\n--- cli ---\n%s\n--- library ---\n%s", noAvail, prog.Report())
+	}
+
+	if report("-no-loopdist") == report("-disable", "loopdist") {
+		t.Error("-no-loopdist and -disable loopdist reports are identical")
 	}
 }
 

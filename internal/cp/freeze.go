@@ -6,10 +6,10 @@ import (
 	"dhpf/internal/ir"
 )
 
-// This file is the selection's freeze/thaw surface for the incremental
-// pass scheduler: a Selection decomposes into independent per-procedure
-// slices (SelectBase, the propagation phases and the per-procedure half
-// of SelectInterproc are all strictly procedure-local, and §6's
+// This file is the selection's freeze/thaw surface for the pass
+// scheduler: a Selection decomposes into independent per-procedure
+// slices (SelectBaseInto, the propagation phases and the per-procedure
+// half of SelectInterprocPartial are all strictly procedure-local, and §6's
 // cross-procedure input — the callees' entry CPs — is covered by the
 // scheduler's transitive environment fingerprint), so a procedure's
 // completed selection state can be extracted after §6, stored, and

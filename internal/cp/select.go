@@ -61,7 +61,8 @@ type Selection struct {
 }
 
 // NewSelection returns an empty selection ready for the phase functions
-// (SelectBase, PropagateNewArrays, PropagateLocalize, SelectInterproc).
+// (SelectBaseInto, PropagateNewArraysPartial, PropagateLocalizePartial,
+// SelectInterprocPartial).
 func NewSelection() *Selection {
 	return &Selection{
 		CPs:    map[int]*CP{},
@@ -160,45 +161,37 @@ func (s *Selection) notef(format string, args ...any) {
 // Select runs the complete CP selection: local selection with §5
 // grouping, §4.1/§4.2 propagation, and §6 interprocedural entry-CP
 // translation.  It is the all-in-one convenience the pass pipeline
-// decomposes into SelectBase, PropagateNewArrays, PropagateLocalize and
-// SelectInterproc.
+// decomposes into SelectBaseInto, PropagateNewArraysPartial,
+// PropagateLocalizePartial and SelectInterprocPartial, here each with a
+// nil skip.
 func Select(ctx *Context, opt Options) (*Selection, error) {
-	sel, err := SelectBase(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := PropagateNewArrays(ctx, sel, opt); err != nil {
-		return nil, err
-	}
-	if opt.Localize {
-		if err := PropagateLocalize(ctx, sel, opt); err != nil {
-			return nil, err
-		}
-	}
-	if err := SelectInterproc(ctx, sel, opt); err != nil {
-		return nil, err
-	}
-	return sel, nil
-}
-
-// SelectBase runs the local CP selection of §2 and §5 for every
-// procedure, bottom-up on the call graph: candidate enumeration,
-// union-find grouping over loop-independent dependences (when
-// opt.LoopDist), and the least-communication combination search.  It
-// assigns CPs to assignments only; call statements are handled by
-// SelectInterproc and privatizable overrides by the propagation phases.
-func SelectBase(ctx *Context, opt Options) (*Selection, error) {
 	sel := NewSelection()
 	if err := SelectBaseInto(ctx, sel, opt, nil); err != nil {
 		return nil, err
 	}
+	if err := PropagateNewArraysPartial(ctx, sel, opt, nil); err != nil {
+		return nil, err
+	}
+	if opt.Localize {
+		if err := PropagateLocalizePartial(ctx, sel, opt, nil); err != nil {
+			return nil, err
+		}
+	}
+	if err := SelectInterprocPartial(ctx, sel, opt, nil); err != nil {
+		return nil, err
+	}
 	return sel, nil
 }
 
-// SelectBaseInto is SelectBase running into an existing selection,
-// skipping procedures for which skip returns true — those had their
-// completed per-procedure selection installed from a frozen artifact by
-// the incremental scheduler (Selection.InstallProc), so re-selecting
+// SelectBaseInto runs the local CP selection of §2 and §5 into sel for
+// every procedure, bottom-up on the call graph: candidate enumeration,
+// union-find grouping over loop-independent dependences (when
+// opt.LoopDist), and the least-communication combination search.  It
+// assigns CPs to assignments only; call statements are handled by
+// SelectInterprocPartial and privatizable overrides by the propagation
+// phases.  Procedures for which skip returns true are left alone — those
+// had their completed per-procedure selection installed from a frozen
+// artifact by the pass scheduler (Selection.InstallProc), so re-selecting
 // them would both waste the search and duplicate their decision notes.
 // A nil skip selects every procedure.
 func SelectBaseInto(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
@@ -225,29 +218,19 @@ func SelectBaseInto(ctx *Context, sel *Selection, opt Options, skip func(*ir.Pro
 	return nil
 }
 
-// PropagateNewArrays applies §4.1: for every loop carrying a NEW
-// directive, innermost loops first, the CPs of the statements defining
-// the privatizable are recomputed from the CPs of its uses.
-func PropagateNewArrays(ctx *Context, sel *Selection, opt Options) error {
-	return propagatePhase(ctx, sel, opt, false, nil)
-}
-
-// PropagateNewArraysPartial is PropagateNewArrays restricted to the
-// procedures skip rejects (skipped ones carry thawed, already-propagated
-// selections).
+// PropagateNewArraysPartial applies §4.1 to the procedures skip rejects
+// (nil skip: every procedure): for every loop carrying a NEW directive,
+// innermost loops first, the CPs of the statements defining the
+// privatizable are recomputed from the CPs of its uses.  Skipped
+// procedures carry thawed, already-propagated selections.
 func PropagateNewArraysPartial(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
 	return propagatePhase(ctx, sel, opt, false, skip)
 }
 
-// PropagateLocalize applies §4.2: LOCALIZE partial replication for
+// PropagateLocalizePartial applies §4.2 to the procedures skip rejects
+// (nil skip: every procedure): LOCALIZE partial replication for
 // distributed arrays, keeping the owner-computes term so the owner's
 // copy stays current.
-func PropagateLocalize(ctx *Context, sel *Selection, opt Options) error {
-	return propagatePhase(ctx, sel, opt, true, nil)
-}
-
-// PropagateLocalizePartial is PropagateLocalize restricted to the
-// procedures skip rejects.
 func PropagateLocalizePartial(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
 	return propagatePhase(ctx, sel, opt, true, skip)
 }
@@ -290,22 +273,19 @@ func propagatePhase(ctx *Context, sel *Selection, opt Options, localize bool, sk
 	return nil
 }
 
-// SelectInterproc applies §6 bottom-up on the call graph: every call
-// statement receives the callee's entry CP translated through the
+// SelectInterprocPartial applies §6 bottom-up on the call graph: every
+// call statement receives the callee's entry CP translated through the
 // formal→actual binding (replicated when opt.Interproc is off, the
 // callee has no uniform entry CP, or translation fails), and then the
 // procedure's own entry CP is computed from its now-complete statement
 // CPs and recorded in sel.Entry and ctx.EntryCPs.  Must run after the
 // propagation phases so entry CPs reflect the propagated selections.
-func SelectInterproc(ctx *Context, sel *Selection, opt Options) error {
-	return SelectInterprocPartial(ctx, sel, opt, nil)
-}
-
-// SelectInterprocPartial is SelectInterproc restricted to the procedures
-// skip rejects.  A skipped procedure's entry CP was installed by the
-// thaw (Selection.InstallProc); it is republished into ctx.EntryCPs here
-// — at the procedure's bottom-up turn — so dirty callers later in the
-// order translate against exactly what a cold run would have computed.
+//
+// Procedures skip accepts (nil skip: none) had their entry CP installed
+// by a thaw (Selection.InstallProc); it is republished into ctx.EntryCPs
+// here — at the procedure's bottom-up turn — so dirty callers later in
+// the order translate against exactly what a cold run would have
+// computed.
 func SelectInterprocPartial(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
 	order, err := ctx.Callees()
 	if err != nil {

@@ -25,20 +25,6 @@ func buildAnalysisInput(cc *CompileContext) *analysis.Input {
 	}
 }
 
-// runAnalyze executes the static-analysis pass: symbolic loop summaries
-// and distributed-array dataflow over the post-pipeline facts.  The
-// result is stored on the context; Predict (the cost oracle) is run on
-// demand by the surfaces, not here, because its output depends on
-// nothing the pipeline caches.
-func runAnalyze(cc *CompileContext) error {
-	res, err := analysis.Run(buildAnalysisInput(cc))
-	if err != nil {
-		return err
-	}
-	cc.Analysis = res
-	return nil
-}
-
 // checkAnalyze is deliberately lenient, unlike checkVerify: dataflow
 // ERROR diagnostics describe properties of the *program* (reading unset
 // distributed storage), not of the compiler, so they must not fail the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dhpf/internal/cache"
 	"dhpf/internal/cp"
 )
 
@@ -166,19 +167,29 @@ func TestFingerprintFieldSensitivityProperty(t *testing.T) {
 }
 
 // TestRunCtxCancelled: a pre-cancelled context aborts before the first
-// pass and reports which boundary stopped it.
+// pass and reports which boundary stopped it, with or without a store.
 func TestRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cc := &CompileContext{Source: "program p\nend\n", Opt: DefaultOptions()}
-	err := RunCtx(ctx, cc)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if !strings.Contains(err.Error(), PassParse) {
-		t.Errorf("error should name the boundary: %v", err)
-	}
-	if len(cc.Stats) != 0 {
-		t.Errorf("aborted run recorded %d pass stats", len(cc.Stats))
+	for _, c := range []struct {
+		name  string
+		store *cache.ArtifactStore
+	}{
+		{"cold", nil},
+		{"store", cache.NewArtifactStore(0)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cc := &CompileContext{Source: "program p\nend\n", Opt: DefaultOptions()}
+			_, err := Run(ctx, cc, c.store)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if !strings.Contains(err.Error(), PassParse) {
+				t.Errorf("error should name the boundary: %v", err)
+			}
+			if len(cc.Stats) != 0 {
+				t.Errorf("aborted run recorded %d pass stats", len(cc.Stats))
+			}
+		})
 	}
 }

@@ -1,12 +1,10 @@
 package passes
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"time"
 
 	"dhpf/internal/analysis"
 	"dhpf/internal/cache"
@@ -18,11 +16,12 @@ import (
 	"dhpf/internal/verify"
 )
 
-// Delta summarizes one incremental compile: how much of the program was
-// dirty and how the artifact store fared.  Hits count artifacts thawed
-// from the store; misses count artifacts that had to be recomputed
-// (because the procedure's environment fingerprint changed, the store had
-// evicted the entry, or a thaw failed its consistency checks).
+// Delta summarizes one compile: how much of the program was dirty and
+// how the artifact store fared (without a store, everything is dirty).
+// Hits count artifacts thawed from the store; misses count artifacts
+// that had to be recomputed (because there is no store, the procedure's
+// environment fingerprint changed, the store had evicted the entry, or
+// a thaw failed its consistency checks).
 type Delta struct {
 	Procs          int      `json:"procs"`
 	Dirty          int      `json:"dirty"`
@@ -36,11 +35,15 @@ func (d *Delta) String() string {
 		d.Dirty, d.Procs, d.DirtyProcs, d.ArtifactHits, d.ArtifactMisses)
 }
 
-// incrRun is the per-compile state of the incremental scheduler.
-type incrRun struct {
+// scheduler is the per-compile state of the pass pipeline.  Its store
+// memoizes per-procedure artifacts across compiles; a nil store is a
+// cold compile, where get always misses and keep never freezes.
+type scheduler struct {
 	cc    *CompileContext
 	store *cache.ArtifactStore
-	fps   *unitFingerprints
+	// fps holds the unit and environment fingerprints the artifacts are
+	// keyed by (nil without a store).
+	fps *unitFingerprints
 	// src is the compile's source text, or "" when the caller supplied a
 	// pre-parsed program — the raw-text shortcut tiers (ast, rawunit) key
 	// on source chunks and must stay off in that case.
@@ -64,26 +67,8 @@ type incrRun struct {
 	delta     *Delta
 }
 
-// RunIncremental is RunCtx with artifact memoization: per-procedure
-// dependence graphs, CP selections, communication plans and verification
-// fragments are reused from the store when the procedure's environment
-// fingerprint is unchanged, and only dirty procedures are re-analyzed —
-// in parallel on a bounded worker pool.  The cheap whole-program passes
-// (parsing, binding, loop distribution, reductions, lowering) always
-// run, so the resulting CompileContext is byte-for-byte identical to a
-// cold RunCtx of the same source: reports, node programs and
-// verification diagnostics cannot tell the difference.
-func RunIncremental(cc *CompileContext, store *cache.ArtifactStore) (*Delta, error) {
-	return RunIncrementalCtx(context.Background(), cc, store)
-}
-
-// RunIncrementalCtx is RunIncremental with cancellation at pass
-// boundaries, mirroring RunCtx.
-func RunIncrementalCtx(ctx context.Context, cc *CompileContext, store *cache.ArtifactStore) (*Delta, error) {
-	if store == nil {
-		return nil, fmt.Errorf("passes: RunIncremental needs an artifact store")
-	}
-	r := &incrRun{
+func newScheduler(cc *CompileContext, store *cache.ArtifactStore) *scheduler {
+	r := &scheduler{
 		cc:        cc,
 		store:     store,
 		dirty:     map[*ir.Procedure]bool{},
@@ -93,96 +78,65 @@ func RunIncrementalCtx(ctx context.Context, cc *CompileContext, store *cache.Art
 	if cc.IR == nil {
 		r.src = cc.Source
 	}
-	pipeline, err := BuildPipeline(cc.Opt)
-	if err != nil {
-		return nil, err
-	}
-	overrides := map[string]func() (bool, error){
-		PassParse:        r.parse,
-		PassDependence:   r.dependence,
-		PassCPSelect:     r.cpSelect,
-		PassNewProp:      r.newProp,
-		PassLocalize:     r.localize,
-		PassInterproc:    r.interproc,
-		PassCommPlan:     r.commPlan,
-		PassAvailability: r.availability,
-		PassWritebackRed: r.writebackRed,
-		PassLower:        r.lower,
-		PassVerify:       r.verify,
-		PassAnalyze:      r.analyze,
-	}
-	var prev probe
-	prevValid := false
-	for _, p := range pipeline {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("passes: aborted before %s: %w", p.Name, err)
-		}
-		// The selection state is frozen at the last moment the
-		// pre-distribution body exists.  Keying on either pass makes the
-		// freeze independent of whether loopdist is ablated (reductions is
-		// mandatory).
-		if !r.selFrozen && (p.Name == PassLoopDist || p.Name == PassReductions) {
-			r.freezeSelArtifacts()
-			r.selFrozen = true
-		}
-		noteBase := 0
-		if cc.Sel != nil {
-			noteBase = cc.Sel.NoteCount()
-		}
-		start := time.Now() //vetdet:ok recompile wall times are -stats telemetry, never fingerprinted
-		cached := false
-		if ov, ok := overrides[p.Name]; ok {
-			cached, err = ov()
-		} else {
-			err = p.Run(cc)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pass %s: %w", p.Name, err)
-		}
-		st := Stat{Name: p.Name, Wall: time.Since(start), Cached: cached} //vetdet:ok telemetry
-		if cc.Sel != nil {
-			st.Notes = cc.Sel.NotesSince(noteBase)
-		}
-		st.Summary = summarize(p.Name, cc)
-		if st.Summary == "" {
-			st.Summary = fmt.Sprintf("%d decisions", len(st.Notes))
-		}
-		if cc.Opt.Instrument {
-			cur, ok := measureComm(cc)
-			if ok {
-				st.Msgs, st.Bytes = cur.msgs, cur.bytes
-				st.Measured = true
-				if prevValid {
-					st.DeltaBytes = cur.bytes - prev.bytes
-					st.HasDelta = true
-				}
-				prev, prevValid = cur, true
-			}
-		}
-		cc.Stats = append(cc.Stats, st)
-		if p.Check != nil {
-			if err := p.Check(cc); err != nil {
-				return nil, fmt.Errorf("pass %s: invariant violated: %w", p.Name, err)
-			}
-		}
-	}
-	r.delta.Procs = len(cc.IR.Procs)
-	return r.delta, nil
+	return r
 }
 
-// parse replaces runParse: the source is split into per-subroutine raw
-// chunks, and chunks seen before (under the same header) skip the parser
-// entirely — the pristine cached Procedure is deep-cloned into the
-// program instead.  Only unseen chunks are parsed, as a synthetic
-// source of header + dirty chunks (token-equivalent to their place in
-// the full text).  Statement ids are then renumbered program-wide in
-// cold parse order, so the assembled AST — and everything downstream
-// that prints statement ids — is identical to a cold parse.  Any
-// irregularity (unsplittable source, parse error, chunk/procedure
-// mismatch) falls back to the cold whole-source parse.
-func (r *incrRun) parse() (bool, error) {
+// get looks up proc's artifact of the given kind; without a store every
+// lookup misses.
+func (r *scheduler) get(kind string, proc *ir.Procedure) (any, bool) {
+	if r.store == nil {
+		return nil, false
+	}
+	return r.store.Get(artifactKey(kind, r.fps.Env[proc]))
+}
+
+// keep stores the artifact freeze builds for proc.  Without a store it
+// does nothing, so a cold compile never pays for freezing.  A freeze
+// error is returned and nothing is stored.
+func (r *scheduler) keep(kind string, proc *ir.Procedure, freeze func() (any, error)) error {
+	if r.store == nil {
+		return nil
+	}
+	fz, err := freeze()
+	if err != nil {
+		return err
+	}
+	r.store.Put(artifactKey(kind, r.fps.Env[proc]), fz, approxSize(fz))
+	return nil
+}
+
+// workers is the forEach pool size for per-procedure work.  A cold
+// compile stays serial: its callers (a server's worker pool, a batch of
+// sweep points) already run cold compiles side by side.
+func (r *scheduler) workers() int {
+	if r.store == nil {
+		return 1
+	}
+	return 0
+}
+
+// miss counts one artifact recomputed this run.
+func (r *scheduler) miss() {
+	r.delta.ArtifactMisses++
+	if r.store != nil {
+		r.store.MarkDirty(1)
+	}
+}
+
+// parse consults the front-end tier: the source is split into
+// per-subroutine raw chunks, and chunks seen before (under the same
+// header) skip the parser entirely — the pristine cached Procedure is
+// deep-cloned into the program instead.  Only unseen chunks are parsed,
+// as a synthetic source of header + dirty chunks (token-equivalent to
+// their place in the full text).  Statement ids are then renumbered
+// program-wide in cold parse order, so the assembled AST — and
+// everything downstream that prints statement ids — is identical to a
+// cold parse.  Without a store, and on any irregularity (unsplittable
+// source, parse error, chunk/procedure mismatch), it is the plain
+// whole-source runParse.
+func (r *scheduler) parse() (bool, error) {
 	cc := r.cc
-	if cc.IR != nil || r.src == "" {
+	if r.store == nil || r.src == "" {
 		return false, runParse(cc)
 	}
 	header, chunks := splitSource(r.src)
@@ -234,12 +188,13 @@ func (r *incrRun) parse() (bool, error) {
 	return misses == 0, nil
 }
 
-// dependence replaces runDependence: the context is built without
-// dependence graphs, fingerprints decide which procedures are dirty, and
-// only those are re-analyzed (in parallel).  Dirty graphs are frozen
-// immediately — loop distribution rewrites references in place later, so
-// this is the last moment the parse-stage selectors are computable.
-func (r *incrRun) dependence() (bool, error) {
+// dependence builds the CP context and grid.  The context is built
+// without dependence graphs, fingerprints decide which procedures are
+// dirty, and only those are re-analyzed (in parallel); without a store
+// every procedure is.  Dirty graphs are frozen immediately — loop
+// distribution rewrites references in place later, so this is the last
+// moment the parse-stage selectors are computable.
+func (r *scheduler) dependence() (bool, error) {
 	cc := r.cc
 	ctx, err := cp.NewContextNoDeps(cc.IR, cc.Bind)
 	if err != nil {
@@ -249,7 +204,9 @@ func (r *incrRun) dependence() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	r.fps = fingerprintUnits(ctx, cc.Opt, r.src, r.store)
+	if r.store != nil {
+		r.fps = fingerprintUnits(ctx, cc.Opt, r.src, r.store)
+	}
 
 	// Look the artifacts up serially (the store is cheap), then thaw the
 	// hits on the worker pool — relocation walks every statement of every
@@ -257,11 +214,11 @@ func (r *incrRun) dependence() (bool, error) {
 	frozen := make([]*frozenDeps, len(cc.IR.Procs))
 	thawed := make([][]*dep.Dependence, len(cc.IR.Procs))
 	for i, proc := range cc.IR.Procs {
-		if v, ok := r.store.Get(artifactKey(artifactDeps, r.fps.Env[proc])); ok {
+		if v, ok := r.get(artifactDeps, proc); ok {
 			frozen[i] = v.(*frozenDeps)
 		}
 	}
-	forEach(len(cc.IR.Procs), 0, func(i int) error {
+	forEach(len(cc.IR.Procs), r.workers(), func(i int) error {
 		if frozen[i] != nil {
 			thawed[i], _ = thawDeps(cc.IR.Procs[i], frozen[i])
 		}
@@ -281,18 +238,16 @@ func (r *incrRun) dependence() (bool, error) {
 	r.delta.Dirty = len(dirtyIdx)
 
 	results := make([][]*dep.Dependence, len(dirtyIdx))
-	forEach(len(dirtyIdx), 0, func(k int) error {
+	forEach(len(dirtyIdx), r.workers(), func(k int) error {
 		results[k] = dep.Analyze(cc.IR.Procs[dirtyIdx[k]].Body)
 		return nil
 	})
 	for k, i := range dirtyIdx {
 		proc := cc.IR.Procs[i]
 		ctx.Deps[proc] = results[k]
-		r.delta.ArtifactMisses++
-		r.store.MarkDirty(1)
-		if fz, err := freezeDeps(proc, results[k]); err == nil {
-			r.store.Put(artifactKey(artifactDeps, r.fps.Env[proc]), fz, approxSize(fz))
-		}
+		r.miss()
+		// An unfreezable graph is simply not stored.
+		_ = r.keep(artifactDeps, proc, func() (any, error) { return freezeDeps(proc, results[k]) })
 	}
 	cc.Ctx = ctx
 	cc.Grid = grid
@@ -301,15 +256,15 @@ func (r *incrRun) dependence() (bool, error) {
 
 // selClean is the skip predicate the partial selection phases take: a
 // procedure is skipped when its frozen selection thawed successfully.
-func (r *incrRun) selClean(p *ir.Procedure) bool { return !r.selDirty[p] }
+func (r *scheduler) selClean(p *ir.Procedure) bool { return !r.selDirty[p] }
 
-// cpSelect replaces runCPSelect: clean procedures install their frozen
-// post-§6 selection state (CPs, entry CP, marked pairs, decision notes);
-// the base selection search runs only for the dirty ones.  The
+// cpSelect runs the base CP selection.  Clean procedures install their
+// frozen post-§6 selection state (CPs, entry CP, marked pairs, decision
+// notes); the base selection search runs only for the dirty ones.  The
 // propagation and interprocedural phases below are restricted the same
 // way, so for a fully-clean program all four selection passes are
 // no-ops over thawed state.
-func (r *incrRun) cpSelect() (bool, error) {
+func (r *scheduler) cpSelect() (bool, error) {
 	cc := r.cc
 	order, err := cc.Ctx.Callees()
 	if err != nil {
@@ -321,8 +276,7 @@ func (r *incrRun) cpSelect() (bool, error) {
 	r.selDirty = map[*ir.Procedure]bool{}
 	for pi, proc := range order {
 		if !r.dirty[proc] {
-			key := artifactKey(artifactSel, r.fps.Env[proc])
-			if v, ok := r.store.Get(key); ok {
+			if v, ok := r.get(artifactSel, proc); ok {
 				if err := thawSel(proc, pi, sel, v.(*frozenSel)); err == nil {
 					r.delta.ArtifactHits++
 					continue
@@ -330,8 +284,7 @@ func (r *incrRun) cpSelect() (bool, error) {
 			}
 		}
 		r.selDirty[proc] = true
-		r.delta.ArtifactMisses++
-		r.store.MarkDirty(1)
+		r.miss()
 	}
 	if err := cp.SelectBaseInto(cc.Ctx, sel, cc.Opt.CP, r.selClean); err != nil {
 		return false, err
@@ -339,9 +292,9 @@ func (r *incrRun) cpSelect() (bool, error) {
 	return len(r.selDirty) == 0, nil
 }
 
-// newProp replaces runNewProp, propagating §4.1 only through dirty
-// procedures (thawed selections are already post-propagation).
-func (r *incrRun) newProp() (bool, error) {
+// newProp propagates §4.1 through the dirty procedures only (thawed
+// selections are already post-propagation).
+func (r *scheduler) newProp() (bool, error) {
 	if err := cp.PropagateNewArraysPartial(r.cc.Ctx, r.cc.Sel, r.cc.Opt.CP, r.selClean); err != nil {
 		return false, err
 	}
@@ -349,7 +302,7 @@ func (r *incrRun) newProp() (bool, error) {
 }
 
 // localize mirrors newProp for §4.2.
-func (r *incrRun) localize() (bool, error) {
+func (r *scheduler) localize() (bool, error) {
 	if !r.cc.Opt.CP.Localize {
 		return false, nil
 	}
@@ -359,44 +312,43 @@ func (r *incrRun) localize() (bool, error) {
 	return len(r.selDirty) == 0, nil
 }
 
-// interproc replaces runInterproc: dirty procedures run §6 normally;
-// clean ones republish their thawed entry CPs into ctx.EntryCPs at
-// their bottom-up turn, so dirty callers translate against them.
-func (r *incrRun) interproc() (bool, error) {
+// interproc runs §6: dirty procedures normally, while clean ones
+// republish their thawed entry CPs into ctx.EntryCPs at their bottom-up
+// turn, so dirty callers translate against them.
+func (r *scheduler) interproc() (bool, error) {
 	if err := cp.SelectInterprocPartial(r.cc.Ctx, r.cc.Sel, r.cc.Opt.CP, r.selClean); err != nil {
 		return false, err
 	}
 	return len(r.selDirty) == 0, nil
 }
 
-// freezeSelArtifacts stores the finished selection state of the
-// procedures selected this run.  It runs exactly once, just before the
-// first of loopdist/reductions — the last moment the pre-distribution
-// statement walk (the relocation anchor shared with the deps artifact)
-// is computable.
-func (r *incrRun) freezeSelArtifacts() {
-	if r.cc.Sel == nil || r.fps == nil {
+// freezeSel keeps the finished selection state of the procedures
+// selected this run.  It runs once, at the start of the first of
+// loopdist/reductions — the last moment the pre-distribution statement
+// walk (the relocation anchor shared with the deps artifact) is
+// computable.
+func (r *scheduler) freezeSel() {
+	if r.selFrozen {
 		return
 	}
+	r.selFrozen = true
 	for pi, proc := range r.selOrder {
-		if !r.selDirty[proc] {
-			continue
+		if r.selDirty[proc] {
+			_ = r.keep(artifactSel, proc, func() (any, error) { return freezeSel(proc, pi, r.cc.Sel), nil }) // cannot fail
 		}
-		fz := freezeSel(proc, pi, r.cc.Sel)
-		r.store.Put(artifactKey(artifactSel, r.fps.Env[proc]), fz, approxSize(fz))
 	}
 }
 
-// commPlan replaces runCommPlan: clean procedures thaw their finished
-// (post-elimination) plans; dirty ones build events in parallel.
-func (r *incrRun) commPlan() (bool, error) {
+// commPlan builds the communication plans: clean procedures thaw their
+// finished (post-elimination) plans; dirty ones build events in
+// parallel.
+func (r *scheduler) commPlan() (bool, error) {
 	cc := r.cc
 	cc.Comm = map[string]*comm.Analysis{}
 	var fresh []int
 	for i, proc := range cc.IR.Procs {
 		if !r.dirty[proc] {
-			key := artifactKey(artifactComm, r.fps.Env[proc])
-			if v, ok := r.store.Get(key); ok {
+			if v, ok := r.get(artifactComm, proc); ok {
 				if a, err := thawComm(proc, v.(*frozenComm)); err == nil {
 					cc.Comm[proc.Name] = a
 					r.delta.ArtifactHits++
@@ -408,15 +360,14 @@ func (r *incrRun) commPlan() (bool, error) {
 		r.commFresh[proc] = true
 	}
 	results := make([]*comm.Analysis, len(fresh))
-	forEach(len(fresh), 0, func(k int) error {
+	forEach(len(fresh), r.workers(), func(k int) error {
 		proc := cc.IR.Procs[fresh[k]]
 		results[k] = comm.BuildEvents(cc.Ctx, proc, cc.Sel)
 		return nil
 	})
 	for k, i := range fresh {
 		cc.Comm[cc.IR.Procs[i].Name] = results[k]
-		r.delta.ArtifactMisses++
-		r.store.MarkDirty(1)
+		r.miss()
 	}
 	return len(fresh) == 0, nil
 }
@@ -424,7 +375,7 @@ func (r *incrRun) commPlan() (bool, error) {
 // availability applies §7 elimination to freshly-built plans only: a
 // thawed plan is already post-elimination and carries no dependence
 // graphs to re-derive proofs from.
-func (r *incrRun) availability() (bool, error) {
+func (r *scheduler) availability() (bool, error) {
 	cc := r.cc
 	if !cc.Opt.Comm.Availability {
 		return false, nil
@@ -440,7 +391,7 @@ func (r *incrRun) availability() (bool, error) {
 }
 
 // writebackRed mirrors availability for write-back redundancy.
-func (r *incrRun) writebackRed() (bool, error) {
+func (r *scheduler) writebackRed() (bool, error) {
 	cc := r.cc
 	if !cc.Opt.Comm.RedundantWriteback {
 		return false, nil
@@ -455,29 +406,37 @@ func (r *incrRun) writebackRed() (bool, error) {
 	return n == 0, nil
 }
 
-// lower runs the cold validation, then freezes the now-final (post-
-// elimination) communication plans of the procedures built this run.
-func (r *incrRun) lower() (bool, error) {
+// lower finalizes the pipeline.  The executable/node-program forms are
+// generated on demand by the spmd package from the analyses gathered
+// here, so lowering's job at compile time is to validate that everything
+// code generation will need is present and well-formed — its Check does
+// the work.  It also keeps the now-final (post-elimination)
+// communication plans of the procedures built this run.
+func (r *scheduler) lower() (bool, error) {
 	cc := r.cc
-	if err := runLower(cc); err != nil {
-		return false, err
+	if cc.Opt.PipelineGrain < 1 {
+		return false, fmt.Errorf("PipelineGrain must be >= 1, got %d", cc.Opt.PipelineGrain)
 	}
 	for _, proc := range cc.IR.Procs {
-		if !r.commFresh[proc] {
-			continue
-		}
-		if fz, err := freezeComm(proc, cc.Comm[proc.Name]); err == nil {
-			r.store.Put(artifactKey(artifactComm, r.fps.Env[proc]), fz, approxSize(fz))
+		if r.commFresh[proc] {
+			// An unfreezable plan is simply not stored.
+			_ = r.keep(artifactComm, proc, func() (any, error) { return freezeComm(proc, cc.Comm[proc.Name]) })
 		}
 	}
 	return false, nil
 }
 
-// verify replaces runVerify: clean procedures thaw their report
-// fragments (with statement IDs relocated onto the fresh bodies); dirty
-// ones are verified in parallel; the merge in procedure order makes the
-// final report identical to a cold verify.Run.
-func (r *incrRun) verify() (bool, error) {
+// verify executes the translation-validation pass: the verify package
+// independently re-proves the four safety theorems (coverage,
+// communication completeness, writeback soundness, pipeline legality)
+// over the analyses the pipeline just produced, and the report is stored
+// on the context.  The pass is optional (Options.Disable "verify") but on
+// by default — a pipeline bug should fail the compile, not the run.
+//
+// Clean procedures thaw their report fragments (with statement IDs
+// relocated onto the fresh bodies); dirty ones are verified in parallel;
+// the merge in procedure order makes the report identical to verify.Run.
+func (r *scheduler) verify() (bool, error) {
 	cc := r.cc
 	reductions := map[int]bool{}
 	for _, plans := range cc.Reductions {
@@ -494,8 +453,7 @@ func (r *incrRun) verify() (bool, error) {
 	var fresh []int
 	for i, proc := range cc.IR.Procs {
 		if !r.dirty[proc] && !r.commFresh[proc] {
-			key := artifactKey(artifactVerify, r.fps.Env[proc])
-			if v, ok := r.store.Get(key); ok {
+			if v, ok := r.get(artifactVerify, proc); ok {
 				if frag, err := thawVerify(proc, v.(*frozenVerify)); err == nil {
 					frags[i] = frag
 					r.delta.ArtifactHits++
@@ -505,7 +463,7 @@ func (r *incrRun) verify() (bool, error) {
 		}
 		fresh = append(fresh, i)
 	}
-	err := forEach(len(fresh), 0, func(k int) error {
+	err := forEach(len(fresh), r.workers(), func(k int) error {
 		proc := cc.IR.Procs[fresh[k]]
 		frag, err := verify.RunProc(in, proc)
 		if err != nil {
@@ -519,10 +477,8 @@ func (r *incrRun) verify() (bool, error) {
 	}
 	for _, i := range fresh {
 		proc := cc.IR.Procs[i]
-		r.delta.ArtifactMisses++
-		r.store.MarkDirty(1)
-		fz := freezeVerify(proc, frags[i])
-		r.store.Put(artifactKey(artifactVerify, r.fps.Env[proc]), fz, approxSize(fz))
+		r.miss()
+		_ = r.keep(artifactVerify, proc, func() (any, error) { return freezeVerify(proc, frags[i]), nil }) // cannot fail
 	}
 	rep := &verify.Report{}
 	for _, frag := range frags {
@@ -532,20 +488,24 @@ func (r *incrRun) verify() (bool, error) {
 	return len(fresh) == 0, nil
 }
 
-// analyze replaces runAnalyze the same way verify replaces runVerify:
-// clean procedures thaw their summary-plus-diagnostics fragments with
-// statement IDs relocated onto the fresh bodies, dirty ones are
-// analyzed in parallel, and the merge in procedure order is identical
-// to a cold analysis.Run.
-func (r *incrRun) analyze() (bool, error) {
+// analyze executes the static-analysis pass: symbolic loop summaries and
+// distributed-array dataflow over the post-pipeline facts.  The result
+// is stored on the context; Predict (the cost oracle) is run on demand
+// by the surfaces, not here, because its output depends on nothing the
+// pipeline caches.
+//
+// Clean procedures thaw their summary-plus-diagnostics fragments with
+// statement IDs relocated onto the fresh bodies, dirty ones are analyzed
+// in parallel, and the merge in procedure order is identical to
+// analysis.Run.
+func (r *scheduler) analyze() (bool, error) {
 	cc := r.cc
 	in := buildAnalysisInput(cc)
 	frags := make([]*analysis.Result, len(cc.IR.Procs))
 	var fresh []int
 	for i, proc := range cc.IR.Procs {
 		if !r.dirty[proc] && !r.commFresh[proc] {
-			key := artifactKey(artifactAnalyze, r.fps.Env[proc])
-			if v, ok := r.store.Get(key); ok {
+			if v, ok := r.get(artifactAnalyze, proc); ok {
 				fz := v.(*frozenAnalyze)
 				if frag, err := thawAnalyze(proc, fz); err == nil {
 					frags[i] = frag
@@ -559,7 +519,7 @@ func (r *incrRun) analyze() (bool, error) {
 		}
 		fresh = append(fresh, i)
 	}
-	err := forEach(len(fresh), 0, func(k int) error {
+	err := forEach(len(fresh), r.workers(), func(k int) error {
 		proc := cc.IR.Procs[fresh[k]]
 		frag, err := analysis.RunProc(in, proc)
 		if err != nil {
@@ -573,13 +533,10 @@ func (r *incrRun) analyze() (bool, error) {
 	}
 	for _, i := range fresh {
 		proc := cc.IR.Procs[i]
-		r.delta.ArtifactMisses++
-		r.store.MarkDirty(1)
-		fz, err := freezeAnalyze(in, proc, frags[i])
-		if err != nil {
+		r.miss()
+		if err := r.keep(artifactAnalyze, proc, func() (any, error) { return freezeAnalyze(in, proc, frags[i]) }); err != nil {
 			return false, err
 		}
-		r.store.Put(artifactKey(artifactAnalyze, r.fps.Env[proc]), fz, approxSize(fz))
 	}
 	res := &analysis.Result{}
 	for _, frag := range frags {

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -87,10 +88,12 @@ end
 `, n)
 }
 
+// compileCold compiles without an artifact store: the thaw-fidelity
+// oracle the warm compiles are compared against.
 func compileCold(t *testing.T, src string, opt Options) *CompileContext {
 	t.Helper()
 	cc := &CompileContext{Source: src, Opt: opt}
-	if err := Run(cc); err != nil {
+	if _, err := Run(context.Background(), cc, nil); err != nil {
 		t.Fatalf("cold compile: %v", err)
 	}
 	return cc
@@ -99,7 +102,7 @@ func compileCold(t *testing.T, src string, opt Options) *CompileContext {
 func compileIncr(t *testing.T, src string, opt Options, store *cache.ArtifactStore) (*CompileContext, *Delta) {
 	t.Helper()
 	cc := &CompileContext{Source: src, Opt: opt}
-	delta, err := RunIncremental(cc, store)
+	delta, err := Run(context.Background(), cc, store)
 	if err != nil {
 		t.Fatalf("incremental compile: %v", err)
 	}
@@ -150,6 +153,23 @@ func editAdd(src string, i int) string {
 		panic("edit marker not found in source")
 	}
 	return edited
+}
+
+// A compile without a store is cold: every procedure is dirty, nothing
+// is thawed, and no pass is reported cached.
+func TestNilStoreCompileIsCold(t *testing.T) {
+	cc, delta := compileIncr(t, incrSrc(16), DefaultOptions(), nil)
+	if delta.Dirty != delta.Procs || delta.Procs != len(cc.IR.Procs) {
+		t.Errorf("delta = %v: want every procedure dirty", delta)
+	}
+	if delta.ArtifactHits != 0 {
+		t.Errorf("nil-store compile thawed %d artifacts", delta.ArtifactHits)
+	}
+	for _, st := range cc.Stats {
+		if st.Cached {
+			t.Errorf("pass %s marked cached without a store", st.Name)
+		}
+	}
 }
 
 // An incremental recompile after an edit must be byte-identical to a
@@ -307,11 +327,11 @@ func TestIncrementalParseErrorMatchesCold(t *testing.T) {
 	if broken == base {
 		t.Fatal("edit marker not found")
 	}
-	coldErr := Run(&CompileContext{Source: broken, Opt: DefaultOptions()})
+	_, coldErr := Run(context.Background(), &CompileContext{Source: broken, Opt: DefaultOptions()}, nil)
 	if coldErr == nil {
 		t.Fatal("cold compile of broken source succeeded")
 	}
-	_, warmErr := RunIncremental(&CompileContext{Source: broken, Opt: DefaultOptions()}, store)
+	_, warmErr := Run(context.Background(), &CompileContext{Source: broken, Opt: DefaultOptions()}, store)
 	if warmErr == nil {
 		t.Fatal("incremental compile of broken source succeeded")
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dhpf/internal/analysis"
+	"dhpf/internal/cache"
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
 	"dhpf/internal/hpf"
@@ -179,44 +180,14 @@ type CompileContext struct {
 // Pass is one named stage of the pipeline.
 type Pass struct {
 	Name string
-	// Run does the work; Check verifies the inter-pass invariant the
-	// pass establishes (nil when there is nothing structural to assert).
-	Run   func(*CompileContext) error
+	// Run does the work on the compile's scheduler and reports whether it
+	// was satisfied entirely from the artifact store; Check verifies the
+	// inter-pass invariant the pass establishes (nil when there is
+	// nothing structural to assert).
+	Run   func(*scheduler) (cached bool, err error)
 	Check func(*CompileContext) error
 	// Optional passes may be dropped via Options.Disable.
 	Optional bool
-	// Reads and Produces name the CompileContext artifacts the pass
-	// consumes and defines — the edges of the artifact DAG the
-	// incremental scheduler (RunIncremental) reasons over.  A pass whose
-	// Produces are all reusable from the artifact store for every
-	// procedure is skipped on a warm recompile; ArtifactKinds lists which
-	// artifacts are cached per procedure.
-	Reads    []string
-	Produces []string
-	// PerProc marks passes whose work decomposes per procedure, so the
-	// incremental scheduler can recompute only dirty procedures and run
-	// them in parallel.
-	PerProc bool
-}
-
-// Artifact names used in Pass.Reads/Produces.  The first block lives on
-// the CompileContext; the ArtifactKinds subset is additionally cached per
-// (procedure, environment-fingerprint) in a cache.ArtifactStore.
-const (
-	ArtIR         = "ir"         // parsed program
-	ArtBind       = "bind"       // resolved directives and parameters
-	ArtDeps       = "deps"       // per-procedure dependence graphs
-	ArtSel        = "sel"        // CP selection
-	ArtReductions = "reductions" // recognized reduction plans
-	ArtComm       = "comm"       // per-procedure communication plans
-	ArtVerify     = "verify"     // per-procedure verification fragments
-	ArtAnalysis   = "analysis"   // per-procedure static-analysis fragments
-)
-
-// ArtifactKinds lists the per-procedure artifacts the incremental
-// scheduler memoizes in the store, in pipeline order.
-func ArtifactKinds() []string {
-	return []string{ArtDeps, ArtSel, ArtComm, ArtVerify, ArtAnalysis}
 }
 
 // BuildPipeline returns the ordered pass list for the options: the full
@@ -276,36 +247,44 @@ func OptionalPassNames() []string {
 // timed, its decision summary and (with Opt.Instrument) communication
 // volume recorded in cc.Stats, and its invariant check run before the
 // next pass starts.
-func Run(cc *CompileContext) error {
-	return RunCtx(context.Background(), cc)
-}
-
-// RunCtx is Run with cancellation: the context is checked at every pass
-// boundary, so a cancelled or timed-out compile aborts before the next
-// pass starts and returns ctx.Err() (wrapped with the pass it stopped
-// ahead of).  Passes themselves run to completion — the boundaries are
-// the pipeline's consistency points, so an aborted context can never
-// leave cc half-mutated by a pass.
-func RunCtx(ctx context.Context, cc *CompileContext) error {
+//
+// store memoizes per-procedure artifacts across compiles: dependence
+// graphs, CP selections, communication plans, verification and analysis
+// fragments are thawed from it when the procedure's environment
+// fingerprint is unchanged, and only dirty procedures are re-analyzed —
+// in parallel on a bounded worker pool.  The result is byte-for-byte
+// identical to a compile without the store.  A nil store compiles cold:
+// every lookup misses, no fingerprints are computed and nothing is
+// frozen, so the Delta reports every procedure dirty.
+//
+// The context is checked at every pass boundary, so a cancelled or
+// timed-out compile aborts before the next pass starts and returns
+// ctx.Err() (wrapped with the pass it stopped ahead of).  Passes
+// themselves run to completion — the boundaries are the pipeline's
+// consistency points, so an aborted context can never leave cc
+// half-mutated by a pass.
+func Run(ctx context.Context, cc *CompileContext, store *cache.ArtifactStore) (*Delta, error) {
 	pipeline, err := BuildPipeline(cc.Opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	r := newScheduler(cc, store)
 	var prev probe
 	prevValid := false
 	for _, p := range pipeline {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("passes: aborted before %s: %w", p.Name, err)
+			return nil, fmt.Errorf("passes: aborted before %s: %w", p.Name, err)
 		}
 		noteBase := 0
 		if cc.Sel != nil {
 			noteBase = cc.Sel.NoteCount()
 		}
 		start := time.Now() //vetdet:ok pass wall times are -explain telemetry, never fingerprinted
-		if err := p.Run(cc); err != nil {
-			return fmt.Errorf("pass %s: %w", p.Name, err)
+		cached, err := p.Run(r)
+		if err != nil {
+			return nil, fmt.Errorf("pass %s: %w", p.Name, err)
 		}
-		st := Stat{Name: p.Name, Wall: time.Since(start)} //vetdet:ok telemetry
+		st := Stat{Name: p.Name, Wall: time.Since(start), Cached: cached} //vetdet:ok telemetry
 		if cc.Sel != nil {
 			st.Notes = cc.Sel.NotesSince(noteBase)
 		}
@@ -328,53 +307,39 @@ func RunCtx(ctx context.Context, cc *CompileContext) error {
 		cc.Stats = append(cc.Stats, st)
 		if p.Check != nil {
 			if err := p.Check(cc); err != nil {
-				return fmt.Errorf("pass %s: invariant violated: %w", p.Name, err)
+				return nil, fmt.Errorf("pass %s: invariant violated: %w", p.Name, err)
 			}
 		}
 	}
-	return nil
+	r.delta.Procs = len(cc.IR.Procs)
+	return r.delta, nil
 }
 
-// allPasses is the full pipeline in the order the paper's phases run,
-// with each pass's artifact reads/produces declared (the DAG the
-// incremental scheduler memoizes over).
+// allPasses is the full pipeline in the order the paper's phases run.
 func allPasses() []Pass {
 	return []Pass{
-		{Name: PassParse, Run: runParse, Check: checkParse,
-			Produces: []string{ArtIR}},
-		{Name: PassBind, Run: runBind, Check: checkBind,
-			Reads: []string{ArtIR}, Produces: []string{ArtBind}},
-		{Name: PassDependence, Run: runDependence, Check: checkDependence,
-			Reads: []string{ArtIR, ArtBind}, Produces: []string{ArtDeps}, PerProc: true},
-		{Name: PassCPSelect, Run: runCPSelect, Check: checkCPSelect,
-			Reads: []string{ArtIR, ArtBind, ArtDeps}, Produces: []string{ArtSel}, PerProc: true},
-		{Name: PassNewProp, Run: runNewProp, Optional: true,
-			Reads: []string{ArtIR, ArtDeps}, Produces: []string{ArtSel}, PerProc: true},
-		{Name: PassLocalize, Run: runLocalize, Optional: true,
-			Reads: []string{ArtIR, ArtDeps}, Produces: []string{ArtSel}, PerProc: true},
-		{Name: PassInterproc, Run: runInterproc, Check: checkInterproc, Optional: true,
-			Reads: []string{ArtIR, ArtDeps, ArtSel}, Produces: []string{ArtSel}},
-		{Name: PassLoopDist, Run: runLoopDist, Check: checkLoopDist, Optional: true,
-			Reads: []string{ArtIR, ArtDeps, ArtSel}, Produces: []string{ArtIR}, PerProc: true},
-		{Name: PassReductions, Run: runReductions, Check: checkReductions,
-			Reads: []string{ArtIR, ArtSel}, Produces: []string{ArtReductions}, PerProc: true},
-		{Name: PassCommPlan, Run: runCommPlan, Check: checkCommPlan,
-			Reads: []string{ArtIR, ArtBind, ArtSel}, Produces: []string{ArtComm}, PerProc: true},
-		{Name: PassAvailability, Run: runAvailability, Check: checkElimReasons, Optional: true,
-			Reads: []string{ArtComm}, Produces: []string{ArtComm}, PerProc: true},
-		{Name: PassWritebackRed, Run: runWritebackRed, Check: checkElimReasons, Optional: true,
-			Reads: []string{ArtComm}, Produces: []string{ArtComm}, PerProc: true},
-		{Name: PassLower, Run: runLower, Check: checkLower,
-			Reads: []string{ArtSel, ArtComm, ArtReductions}},
-		{Name: PassVerify, Run: runVerify, Check: checkVerify, Optional: true,
-			Reads: []string{ArtIR, ArtBind, ArtSel, ArtComm, ArtReductions}, Produces: []string{ArtVerify}, PerProc: true},
-		{Name: PassAnalyze, Run: runAnalyze, Check: checkAnalyze, Optional: true,
-			Reads: []string{ArtIR, ArtBind, ArtSel, ArtComm, ArtReductions}, Produces: []string{ArtAnalysis}, PerProc: true},
+		{Name: PassParse, Run: (*scheduler).parse, Check: checkParse},
+		{Name: PassBind, Run: (*scheduler).bind, Check: checkBind},
+		{Name: PassDependence, Run: (*scheduler).dependence, Check: checkDependence},
+		{Name: PassCPSelect, Run: (*scheduler).cpSelect, Check: checkCPSelect},
+		{Name: PassNewProp, Run: (*scheduler).newProp, Optional: true},
+		{Name: PassLocalize, Run: (*scheduler).localize, Optional: true},
+		{Name: PassInterproc, Run: (*scheduler).interproc, Check: checkInterproc, Optional: true},
+		{Name: PassLoopDist, Run: (*scheduler).loopDist, Check: checkLoopDist, Optional: true},
+		{Name: PassReductions, Run: (*scheduler).reductions, Check: checkReductions},
+		{Name: PassCommPlan, Run: (*scheduler).commPlan, Check: checkCommPlan},
+		{Name: PassAvailability, Run: (*scheduler).availability, Check: checkElimReasons, Optional: true},
+		{Name: PassWritebackRed, Run: (*scheduler).writebackRed, Check: checkElimReasons, Optional: true},
+		{Name: PassLower, Run: (*scheduler).lower, Check: checkLower},
+		{Name: PassVerify, Run: (*scheduler).verify, Check: checkVerify, Optional: true},
+		{Name: PassAnalyze, Run: (*scheduler).analyze, Check: checkAnalyze, Optional: true},
 	}
 }
 
-// --- pass bodies -------------------------------------------------------------
+// --- whole-program pass bodies -----------------------------------------------
 
+// runParse is the plain whole-source parse: the cold path, and the
+// scheduler's fallback whenever its per-chunk parse cache cannot be used.
 func runParse(cc *CompileContext) error {
 	if cc.IR != nil {
 		return nil // caller supplied a parsed program
@@ -387,109 +352,40 @@ func runParse(cc *CompileContext) error {
 	return nil
 }
 
-func runBind(cc *CompileContext) error {
-	bind, err := hpf.Bind(cc.IR, cc.Params)
+func (r *scheduler) bind() (bool, error) {
+	bind, err := hpf.Bind(r.cc.IR, r.cc.Params)
 	if err != nil {
-		return err
+		return false, err
 	}
-	cc.Bind = bind
-	return nil
+	r.cc.Bind = bind
+	return false, nil
 }
 
-func runDependence(cc *CompileContext) error {
-	ctx, err := cp.NewContext(cc.IR, cc.Bind)
-	if err != nil {
-		return err
-	}
-	grid, err := ctx.Grid()
-	if err != nil {
-		return err
-	}
-	cc.Ctx = ctx
-	cc.Grid = grid
-	return nil
-}
-
-func runCPSelect(cc *CompileContext) error {
-	sel, err := cp.SelectBase(cc.Ctx, cc.Opt.CP)
-	if err != nil {
-		return err
-	}
-	cc.Sel = sel
-	return nil
-}
-
-func runNewProp(cc *CompileContext) error {
-	return cp.PropagateNewArrays(cc.Ctx, cc.Sel, cc.Opt.CP)
-}
-
-func runLocalize(cc *CompileContext) error {
-	if !cc.Opt.CP.Localize {
-		return nil
-	}
-	return cp.PropagateLocalize(cc.Ctx, cc.Sel, cc.Opt.CP)
-}
-
-func runInterproc(cc *CompileContext) error {
-	return cp.SelectInterproc(cc.Ctx, cc.Sel, cc.Opt.CP)
-}
-
-func runLoopDist(cc *CompileContext) error {
+// loopDist applies §5 to every procedure.  It rewrites bodies in place,
+// so the selections computed this run are frozen first.
+func (r *scheduler) loopDist() (bool, error) {
+	r.freezeSel()
+	cc := r.cc
 	if !cc.Opt.CP.LoopDist {
-		return nil
+		return false, nil
 	}
 	for _, proc := range cc.IR.Procs {
 		cp.DistributeLoops(cc.Ctx, proc, cc.Sel)
 	}
-	return nil
+	return false, nil
 }
 
-func runReductions(cc *CompileContext) error {
+// reductions recognizes reductions in every procedure.  It is the first
+// post-selection pass when loopdist is ablated, so it also freezes the
+// selections.
+func (r *scheduler) reductions() (bool, error) {
+	r.freezeSel()
+	cc := r.cc
 	cc.Reductions = map[string][]ReductionPlan{}
 	for _, proc := range cc.IR.Procs {
 		cc.Reductions[proc.Name] = planReductions(cc.Ctx, proc, cc.Sel)
 	}
-	return nil
-}
-
-func runCommPlan(cc *CompileContext) error {
-	cc.Comm = map[string]*comm.Analysis{}
-	for _, proc := range cc.IR.Procs {
-		cc.Comm[proc.Name] = comm.BuildEvents(cc.Ctx, proc, cc.Sel)
-	}
-	return nil
-}
-
-func runAvailability(cc *CompileContext) error {
-	if !cc.Opt.Comm.Availability {
-		return nil
-	}
-	for _, proc := range cc.IR.Procs {
-		comm.ApplyAvailability(cc.Ctx, cc.Sel, cc.Comm[proc.Name])
-	}
-	return nil
-}
-
-func runWritebackRed(cc *CompileContext) error {
-	if !cc.Opt.Comm.RedundantWriteback {
-		return nil
-	}
-	for _, proc := range cc.IR.Procs {
-		comm.ApplyWritebackElim(cc.Ctx, cc.Sel, cc.Comm[proc.Name])
-	}
-	return nil
-}
-
-// runLower finalizes the pipeline.  The executable/node-program forms
-// are generated on demand by the spmd package from the analyses gathered
-// here, so lowering's job at compile time is to validate that everything
-// code generation will need is present and well-formed — its Check does
-// the work.
-func runLower(cc *CompileContext) error {
-	if cc.Opt.PipelineGrain < 1 {
-		return fmt.Errorf("PipelineGrain must be >= 1, got %d", cc.Opt.PipelineGrain)
-	}
-	return nil
+	return false, nil
 }
 
 // --- invariant checks --------------------------------------------------------

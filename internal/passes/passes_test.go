@@ -1,6 +1,7 @@
 package passes_test
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func lhsy(t *testing.T) string {
 func TestPipelineRunsEveryPass(t *testing.T) {
 	opt := passes.DefaultOptions()
 	cc := &passes.CompileContext{Source: lhsy(t), Opt: opt}
-	if err := passes.Run(cc); err != nil {
+	if _, err := passes.Run(context.Background(), cc, nil); err != nil {
 		t.Fatal(err)
 	}
 	names := passes.PassNames()
@@ -41,7 +42,7 @@ func TestPipelineRunsEveryPass(t *testing.T) {
 func TestDisableRemovesPass(t *testing.T) {
 	opt := passes.DefaultOptions().WithDisabled(passes.PassAvailability)
 	cc := &passes.CompileContext{Source: lhsy(t), Opt: opt}
-	if err := passes.Run(cc); err != nil {
+	if _, err := passes.Run(context.Background(), cc, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range cc.Stats {
@@ -96,7 +97,7 @@ func TestInstrumentCollectsVolumes(t *testing.T) {
 	opt := passes.DefaultOptions()
 	opt.Instrument = true
 	cc := &passes.CompileContext{Source: lhsy(t), Opt: opt}
-	if err := passes.Run(cc); err != nil {
+	if _, err := passes.Run(context.Background(), cc, nil); err != nil {
 		t.Fatal(err)
 	}
 	measured := 0
@@ -118,7 +119,7 @@ func TestInstrumentCollectsVolumes(t *testing.T) {
 
 func TestEntryCPsRecordedAfterInterproc(t *testing.T) {
 	cc := &passes.CompileContext{Source: lhsy(t), Opt: passes.DefaultOptions()}
-	if err := passes.Run(cc); err != nil {
+	if _, err := passes.Run(context.Background(), cc, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, proc := range cc.IR.Procs {

@@ -28,8 +28,8 @@ type Stat struct {
 	HasDelta   bool
 	DeltaBytes int64
 	// Cached marks a pass whose per-procedure work was satisfied entirely
-	// from the artifact store by an incremental compile (no procedure was
-	// re-analyzed).  Always false on the cold pipeline.
+	// from the artifact store (no procedure was re-analyzed).  A compile
+	// without a store misses every lookup, so there it is always false.
 	Cached bool
 }
 

@@ -2,34 +2,7 @@ package passes
 
 import (
 	"fmt"
-
-	"dhpf/internal/verify"
 )
-
-// runVerify executes the translation-validation pass: the verify package
-// independently re-proves the four safety theorems (coverage,
-// communication completeness, writeback soundness, pipeline legality)
-// over the analyses the pipeline just produced, and the report is stored
-// on the context.  The pass is optional (Options.Disable "verify") but on
-// by default — a pipeline bug should fail the compile, not the run.
-func runVerify(cc *CompileContext) error {
-	reductions := map[int]bool{}
-	for _, plans := range cc.Reductions {
-		for _, r := range plans {
-			reductions[r.Stmt.ID] = true
-		}
-	}
-	rep, err := verify.Run(verify.Input{
-		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel, Comm: cc.Comm,
-		Reductions: reductions,
-		Backend:    canonicalBackend(cc.Opt.Backend),
-	})
-	if err != nil {
-		return err
-	}
-	cc.Verify = rep
-	return nil
-}
 
 // checkVerify is the pass invariant: a program that fails its own safety
 // proof must not compile.  The first error diagnostics are inlined so the

@@ -6,7 +6,7 @@
 // a stored program or coalesce onto an identical in-flight compile, and
 // bounds the work it accepts with a fixed worker pool plus a bounded
 // queue (full queue ⇒ 429).  Per-request deadlines are enforced through
-// context cancellation at pass boundaries (passes.RunCtx), so an
+// context cancellation at pass boundaries (passes.Run), so an
 // abandoned compile stops between passes and never corrupts the cache.
 //
 // Endpoints (all JSON; wire types in the root package):

@@ -78,7 +78,8 @@ type Program struct {
 // CP selection (§2, §4, §6), selective loop distribution (§5), and
 // communication planning with availability elimination (§7).
 func Compile(prog *ir.Program, params map[string]int, opt Options) (*Program, error) {
-	return compilePipeline(context.Background(), &passes.CompileContext{IR: prog, Params: params, Opt: opt})
+	p, _, err := compile(context.Background(), &passes.CompileContext{IR: prog, Params: params, Opt: opt}, nil)
+	return p, err
 }
 
 // CompileSource is Compile from mini-HPF source text (the parse pass
@@ -91,32 +92,17 @@ func CompileSource(src string, params map[string]int, opt Options) (*Program, er
 // checks ctx at every pass boundary, so a cancelled or timed-out compile
 // aborts between passes (the service's per-request timeout path).
 func CompileSourceCtx(ctx context.Context, src string, params map[string]int, opt Options) (*Program, error) {
-	return compilePipeline(ctx, &passes.CompileContext{Source: src, Params: params, Opt: opt})
+	p, _, err := CompileIncrementalCtx(ctx, src, params, opt, nil)
+	return p, err
 }
 
-func compilePipeline(ctx context.Context, cc *passes.CompileContext) (*Program, error) {
-	if err := passes.RunCtx(ctx, cc); err != nil {
-		return nil, err
-	}
-	return programOf(cc), nil
-}
-
-func programOf(cc *passes.CompileContext) *Program {
-	return &Program{
-		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel,
-		Comm:       cc.Comm,
-		Reductions: cc.Reductions,
-		Grid:       cc.Grid, Opt: cc.Opt,
-		Stats: cc.Stats,
-	}
-}
-
-// CompileIncremental compiles source through the memoizing scheduler
-// (passes.RunIncremental): per-procedure dependence graphs, communication
-// plans and verification fragments are reused from the store when the
-// procedure's environment fingerprint is unchanged, and only dirty
-// procedures are re-analyzed.  The resulting Program is byte-for-byte
-// identical to CompileSource of the same text.
+// CompileIncremental compiles source through the pass scheduler with an
+// artifact store (passes.Run): per-procedure dependence graphs,
+// communication plans and verification fragments are reused from the
+// store when the procedure's environment fingerprint is unchanged, and
+// only dirty procedures are re-analyzed.  The resulting Program is
+// byte-for-byte identical to CompileSource of the same text, which is
+// CompileIncremental with a nil store.
 func CompileIncremental(src string, params map[string]int, opt Options, store *cache.ArtifactStore) (*Program, *passes.Delta, error) {
 	return CompileIncrementalCtx(context.Background(), src, params, opt, store)
 }
@@ -124,12 +110,23 @@ func CompileIncremental(src string, params map[string]int, opt Options, store *c
 // CompileIncrementalCtx is CompileIncremental with cancellation at pass
 // boundaries.
 func CompileIncrementalCtx(ctx context.Context, src string, params map[string]int, opt Options, store *cache.ArtifactStore) (*Program, *passes.Delta, error) {
-	cc := &passes.CompileContext{Source: src, Params: params, Opt: opt}
-	delta, err := passes.RunIncrementalCtx(ctx, cc, store)
+	return compile(ctx, &passes.CompileContext{Source: src, Params: params, Opt: opt}, store)
+}
+
+// compile is the one compile path: every entry point above runs the
+// pass pipeline through it, cold ones with a nil store.
+func compile(ctx context.Context, cc *passes.CompileContext, store *cache.ArtifactStore) (*Program, *passes.Delta, error) {
+	delta, err := passes.Run(ctx, cc, store)
 	if err != nil {
 		return nil, nil, err
 	}
-	return programOf(cc), delta, nil
+	return &Program{
+		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel,
+		Comm:       cc.Comm,
+		Reductions: cc.Reductions,
+		Grid:       cc.Grid, Opt: cc.Opt,
+		Stats: cc.Stats,
+	}, delta, nil
 }
 
 // PassStats returns the per-pass instrumentation of the compilation:
